@@ -22,8 +22,6 @@
 // Stream registration takes a kind (words, gunpoint, chicken — see
 // hub.DemoKinds) or additionally a declarative classifier spec trained on
 // the kind's dataset, e.g. {"kind":"chicken","spec":"fixedprefix:at=40"}.
-// The unversioned pre-/v1 routes (/push, /stats, /streams, /detections,
-// /detach — text bodies, lazy attach) remain served as frozen aliases.
 //
 // On SIGINT/SIGTERM the server stops accepting requests, drains every
 // stream queue through hub.Close, and prints a final stats line — no
@@ -55,9 +53,9 @@
 // partitions the hub into -shards independent shards (own mutex, stream
 // map, queues, worker pool), routed by the documented FNV-1a hash of the
 // stream ID — pushes to streams on different shards never contend on a
-// lock. Transcripts are byte-identical to the flat hub; /v1/stats gains a
-// per-shard breakdown (queue backlog, drops) and StreamInfo reports each
-// stream's owning shard.
+// lock. Transcripts are byte-identical at every shard count; with more than
+// one shard /v1/stats gains a per-shard breakdown (queue backlog, drops)
+// and StreamInfo reports each stream's owning shard.
 //
 // Backpressure is selected with -policy: block (default) stalls a full
 // queue's producer, drop answers 429 + Retry-After, and shed accepts the
@@ -74,16 +72,6 @@
 // overloaded stream — then verifies watcher transcripts against final
 // reports, zero rejections on healthy streams, explicit shed counters on
 // the abused one, and a lint-clean /metrics body (see soak.go).
-//
-// Scaling-proof mode:
-//
-//	go run ./cmd/etsc-serve -scaling -streams 100000 -points 2000000
-//
-// sweeps shards {1,4,16} × stream counts up to -streams (capped at
-// 100000, -points is the total ingest budget per cell) over deliberately
-// quiet pipelines, printing aggregate and per-shard throughput plus
-// p50/p99 push latency for every cell — the shard-scaling curve on this
-// machine.
 package main
 
 import (
@@ -95,7 +83,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -103,11 +90,9 @@ import (
 	"time"
 
 	"etsc/internal/client"
-	"etsc/internal/dataset"
 	"etsc/internal/etsc"
 	"etsc/internal/hub"
 	"etsc/internal/serve"
-	"etsc/internal/ts"
 )
 
 func main() {
@@ -125,7 +110,6 @@ func main() {
 		traincache = flag.Bool("traincache", false, "warm-start the demo detectors through shared memoized training contexts (identical pipelines, faster startup)")
 		engine     = flag.String("engine", "pruned", "inference engine for every stream pipeline: pruned (lazy NN frontier) or eager (transcripts identical)")
 		shards     = flag.Int("shards", 1, "number of independent hub shards routed by the stream-ID hash (1 = single flat hub)")
-		scaling    = flag.Bool("scaling", false, "run the shard scaling sweep: shards {1,4,16} × stream counts up to -streams (capped at 100000; -points is the total ingest budget per cell), then exit")
 		metricsOn  = flag.Bool("metrics", true, "server mode: expose Prometheus text exposition at GET /metrics")
 		ckptDir    = flag.String("checkpoint", "", "server mode: durable checkpoint directory — boot restores every stream found there, then a background checkpointer persists all streams periodically and at shutdown")
 		ckptEvery  = flag.Duration("checkpoint-interval", 30*time.Second, "server mode: interval between background checkpoint generations (with -checkpoint)")
@@ -153,16 +137,6 @@ func main() {
 	}
 	if *shards < 1 {
 		log.Fatalf("-shards must be >= 1, got %d", *shards)
-	}
-
-	if *scaling {
-		if *target != "" || len(specOverrides) > 0 || *traincache {
-			log.Fatal("-scaling is a self-contained local sweep; -target/-spec/-traincache do not apply")
-		}
-		if err := scalingSweep(os.Stdout, *workers, *queue, pol, *streams, *points, *batch); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	if *target != "" {
@@ -232,19 +206,9 @@ func main() {
 		}
 		return
 	}
-	// -shards 1 keeps the original flat hub (and the pre-shard /v1/stats
-	// body, with no per-shard rows); >1 partitions streams by the ID hash.
-	hubCfg := hub.Config{Workers: *workers, QueueDepth: *queue, Policy: pol}
-	var (
-		h  ingestHub
-		sh *hub.ShardedHub
-	)
-	if *shards > 1 {
-		sh, err = hub.NewSharded(hub.ShardedConfig{Shards: *shards, Config: hubCfg})
-		h = sh
-	} else {
-		h, err = hub.New(hubCfg)
-	}
+	// -shards 1 keeps one flat shard (and a /v1/stats body with no
+	// per-shard rows); >1 partitions streams by the ID hash.
+	h, err := hub.New(hub.Config{Workers: *workers, QueueDepth: *queue, Policy: pol, Shards: *shards})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -256,24 +220,14 @@ func main() {
 		return
 	}
 
-	var srv *serve.Server
-	if sh != nil {
-		srv, err = serve.NewSharded(sh, kinds)
-	} else {
-		srv, err = serve.New(h.(*hub.Hub), kinds)
-	}
+	srv, err := serve.New(h, kinds)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *metricsOn {
 		// One registry feeds both halves: the hub's hot-path instruments and
 		// the serve layer's scrape-time families.
-		reg := srv.EnableMetrics(nil)
-		if sh != nil {
-			sh.SetMetrics(reg)
-		} else {
-			h.(*hub.Hub).SetMetrics(reg)
-		}
+		h.SetMetrics(srv.EnableMetrics(nil))
 	}
 	// Durable state: restore whatever the last run checkpointed BEFORE the
 	// listener opens (clients must never race a half-restored fleet), then
@@ -329,8 +283,8 @@ func main() {
 		}
 	}
 	// Per-shard load before the drain clears the maps.
-	if sh != nil {
-		for _, st := range sh.ShardTotals() {
+	if h.Shards() > 1 {
+		for _, st := range h.ShardTotals() {
 			log.Printf("etsc-serve: shard %2d — %d streams, %d points, %d queued batches, %d dropped",
 				st.Shard, st.Streams, st.Points, st.QueuedBatches, st.DroppedBatches)
 		}
@@ -351,17 +305,8 @@ func main() {
 		len(reports), points64, dropped, dets, recanted)
 }
 
-// ingestHub is the hub surface the load generator and the shutdown drain
-// need; *hub.Hub and *hub.ShardedHub both satisfy it.
-type ingestHub interface {
-	Attach(id string, sc hub.StreamConfig) error
-	Push(id string, points []float64) error
-	Flush()
-	Close() ([]hub.StreamReport, error)
-}
-
 // loadgen drives the hub with synthetic streams and reports capacity.
-func loadgen(w *os.File, h ingestHub, kinds []hub.Kind, seed int64, streams, points, batchSize int, rate float64) error {
+func loadgen(w *os.File, h *hub.Hub, kinds []hub.Kind, seed int64, streams, points, batchSize int, rate float64) error {
 	if batchSize <= 0 {
 		return fmt.Errorf("etsc-serve: -batch must be > 0, got %d", batchSize)
 	}
@@ -608,181 +553,6 @@ func rateLabel(rate float64) string {
 		return "unthrottled"
 	}
 	return fmt.Sprintf("%.0f pts/sec/stream", rate)
-}
-
-// quietPipeline builds a deliberately cheap stream pipeline for the
-// scaling sweep: a FixedPrefix detector over two constant exemplars with
-// the evaluation stride pushed to the exemplar length, so the drain does a
-// handful of comparisons per seriesLen points and the measurement isolates
-// the ingest path — routing, queueing, lock contention — rather than
-// classifier CPU.
-func quietPipeline(seriesLen int) (hub.StreamConfig, error) {
-	mk := func(level float64) dataset.Instance {
-		s := make(ts.Series, seriesLen)
-		for i := range s {
-			s[i] = level
-		}
-		return dataset.Instance{Label: int(level) + 2, Series: s}
-	}
-	d, err := dataset.New("quiet", []dataset.Instance{mk(-1), mk(1)})
-	if err != nil {
-		return hub.StreamConfig{}, err
-	}
-	clf, err := etsc.NewFixedPrefix(d, seriesLen, false)
-	if err != nil {
-		return hub.StreamConfig{}, err
-	}
-	return hub.StreamConfig{Classifier: clf, Stride: seriesLen, Step: 8}, nil
-}
-
-// scalingSweep is the shard-scaling proof: for every cell in shards
-// {1,4,16} × stream counts {max/100, max/10, max}, attach that many quiet
-// streams, split the fixed total ingest budget across them, hammer the hub
-// from 2×GOMAXPROCS pusher goroutines, and print aggregate + per-shard
-// throughput and push-latency percentiles. Every stream replays slices of
-// one shared rendered series, so the sweep's memory footprint stays flat
-// as the stream count grows to 100k.
-func scalingSweep(w *os.File, workers, queueDepth int, pol hub.Policy, maxStreams, totalPoints, batchSize int) error {
-	if batchSize <= 0 {
-		return fmt.Errorf("etsc-serve: -batch must be > 0, got %d", batchSize)
-	}
-	if maxStreams <= 0 {
-		maxStreams = 10_000
-	}
-	if maxStreams > 100_000 {
-		maxStreams = 100_000
-	}
-	if totalPoints < batchSize {
-		totalPoints = batchSize
-	}
-	const seriesLen = 512
-	sc, err := quietPipeline(seriesLen)
-	if err != nil {
-		return err
-	}
-	data := make([]float64, totalPoints)
-	for i := range data {
-		data[i] = float64(i%7) * 0.25
-	}
-	pushers := 2 * runtime.GOMAXPROCS(0)
-	fmt.Fprintf(w, "scaling sweep: %d pushers, workers=%d policy=%s batch=%d, %d-point budget per cell\n",
-		pushers, workers, pol, batchSize, totalPoints)
-
-	var streamCounts []int
-	for _, n := range []int{maxStreams / 100, maxStreams / 10, maxStreams} {
-		if n < 1 {
-			n = 1
-		}
-		if len(streamCounts) == 0 || streamCounts[len(streamCounts)-1] != n {
-			streamCounts = append(streamCounts, n)
-		}
-	}
-	for _, ns := range streamCounts {
-		for _, nsh := range []int{1, 4, 16} {
-			if err := scalingCell(w, nsh, ns, workers, queueDepth, pol, data, batchSize, pushers, sc); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// scalingCell runs one (shards, streams) configuration of the sweep.
-func scalingCell(w *os.File, nShards, nStreams, workers, queueDepth int, pol hub.Policy, data []float64, batchSize, pushers int, sc hub.StreamConfig) error {
-	sh, err := hub.NewSharded(hub.ShardedConfig{
-		Shards: nShards,
-		Config: hub.Config{Workers: workers, QueueDepth: queueDepth, Policy: pol},
-	})
-	if err != nil {
-		return err
-	}
-	ids := make([]string, nStreams)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("s-%06d", i)
-		if err := sh.Attach(ids[i], sc); err != nil {
-			return err
-		}
-	}
-	perStream := len(data) / nStreams
-	if perStream < batchSize {
-		perStream = batchSize
-	}
-
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		rejected  int
-		total     int64
-		pushErr   error
-	)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for p := 0; p < pushers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			local := make([]time.Duration, 0, (perStream/batchSize+1)*(nStreams/pushers+1))
-			var pushed int64
-			rej := 0
-			for i := p; i < nStreams; i += pushers {
-				for off := 0; off < perStream; off += batchSize {
-					end := off + batchSize
-					if end > perStream {
-						end = perStream
-					}
-					t0 := time.Now()
-					err := sh.Push(ids[i], data[off:end])
-					local = append(local, time.Since(t0))
-					switch {
-					case err == nil:
-						pushed += int64(end - off)
-					case errors.Is(err, hub.ErrDropped):
-						rej++
-					default:
-						mu.Lock()
-						if pushErr == nil {
-							pushErr = fmt.Errorf("push %s: %w", ids[i], err)
-						}
-						mu.Unlock()
-						return
-					}
-				}
-			}
-			mu.Lock()
-			latencies = append(latencies, local...)
-			total += pushed
-			rejected += rej
-			mu.Unlock()
-		}(p)
-	}
-	wg.Wait()
-	if pushErr != nil {
-		return pushErr
-	}
-	sh.Flush()
-	wall := time.Since(start)
-
-	// Per-shard load before Close clears the stream maps.
-	perShard := sh.ShardTotals()
-	if _, err := sh.Close(); err != nil {
-		return err
-	}
-
-	secs := wall.Seconds()
-	rate := 0.0
-	if secs > 0 {
-		rate = float64(total) / secs
-	}
-	sort.Slice(latencies, func(a, b int) bool { return latencies[a] < latencies[b] })
-	fmt.Fprintf(w, "shards=%2d streams=%6d: %9d pts in %8v — %9.0f pts/sec, p50=%v p99=%v, %d dropped batches\n",
-		nShards, nStreams, total, wall.Round(time.Millisecond), rate,
-		percentile(latencies, 0.50), percentile(latencies, 0.99), rejected)
-	parts := make([]string, len(perShard))
-	for i, st := range perShard {
-		parts[i] = fmt.Sprintf("%d:%d", st.Shard, st.Points)
-	}
-	fmt.Fprintf(w, "  per-shard points: %s\n", strings.Join(parts, " "))
-	return nil
 }
 
 // percentile reads the q-quantile of an ascending-sorted sample; callers

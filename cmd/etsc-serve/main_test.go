@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -11,13 +11,15 @@ import (
 	"strings"
 	"testing"
 
+	"etsc/internal/client"
 	"etsc/internal/hub"
 	"etsc/internal/router"
 	"etsc/internal/serve"
 )
 
-// TestServerRoundTrip drives the HTTP face end to end: lazy attach on
-// first push, stats, snapshot, detections, detach.
+// TestServerRoundTrip drives the HTTP face end to end through the typed
+// /v1 client: register, push, stream stats, detections, detach — and the
+// error paths that must stay 4xx without attaching a ghost stream.
 func TestServerRoundTrip(t *testing.T) {
 	kinds, err := hub.DemoKinds(3)
 	if err != nil {
@@ -33,112 +35,76 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
+	c, err := client.New(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
 
 	// Render a real chicken stream so the pipeline has something to chew.
 	data, err := kinds[2].Gen(rand.New(rand.NewSource(42)), 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	for _, v := range data {
-		sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		sb.WriteByte(' ')
+	if _, err := c.CreateStream(ctx, client.CreateStreamRequest{ID: "coop", Kind: "chicken"}); err != nil {
+		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+"/push?stream=coop&kind=chicken", "text/plain", strings.NewReader(sb.String()))
+	pushed, err := c.Push(ctx, "coop", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("push status %d", resp.StatusCode)
-	}
-	var pushed struct {
-		Queued int `json:"queued"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&pushed); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
 	if pushed.Queued != len(data) {
 		t.Fatalf("queued %d points, pushed %d", pushed.Queued, len(data))
 	}
 
-	h.Flush() // the /streams handler deliberately does not wait for drains
-	resp, err = http.Get(srv.URL + "/streams")
+	h.Flush() // stream reads deliberately do not wait for drains
+	info, err := c.Stream(ctx, "coop")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap map[string]hub.StreamStats
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
+	if info.Stats.Position != len(data) {
+		t.Fatalf("stream position %d, want %d", info.Stats.Position, len(data))
 	}
-	resp.Body.Close()
-	if snap["coop"].Position != len(data) {
-		t.Fatalf("snapshot position %d, want %d", snap["coop"].Position, len(data))
+	if _, err := c.Detections(ctx, "coop", 0); err != nil {
+		t.Fatal(err)
 	}
 
-	resp, err = http.Get(srv.URL + "/detections?stream=coop")
+	// Bad inputs are typed 4xx errors, not 500s or silent accepts — and a
+	// rejected push must not attach a ghost stream.
+	if _, err := c.Push(ctx, "ghost", []float64{1, 2}); !isAPIError(err, http.StatusNotFound, client.CodeUnknownStream) {
+		t.Fatalf("push to unregistered stream: %v, want 404/%s", err, client.CodeUnknownStream)
+	}
+	if _, err := c.CreateStream(ctx, client.CreateStreamRequest{ID: "x", Kind: "nope"}); !isAPIError(err, http.StatusBadRequest, client.CodeUnknownKind) {
+		t.Fatalf("unknown kind: %v, want 400/%s", err, client.CodeUnknownKind)
+	}
+	list, err := c.Streams(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("detections status %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	// Bad inputs are 4xx, not 500s or silent accepts — and a rejected
-	// push must not lazily attach a ghost stream.
-	resp, err = http.Post(srv.URL+"/push?stream=ghost", "text/plain", strings.NewReader("not-a-float"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage push status %d, want 400", resp.StatusCode)
-	}
-	resp, err = http.Get(srv.URL + "/streams")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap = map[string]hub.StreamStats{}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if _, ok := snap["ghost"]; ok {
-		t.Error("rejected push attached stream \"ghost\"")
-	}
-	resp, err = http.Post(srv.URL+"/push?stream=x&kind=nope", "text/plain", strings.NewReader("1 2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown kind status %d, want 400", resp.StatusCode)
+	if len(list) != 1 || list[0].ID != "coop" {
+		t.Errorf("streams after rejected requests = %+v, want only coop", list)
 	}
 
-	resp, err = http.Post(srv.URL+"/detach?stream=coop", "text/plain", nil)
+	rep, err := c.DeleteStream(ctx, "coop")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep hub.StreamReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
 	if rep.Stats.Position != len(data) {
 		t.Fatalf("detach report position %d, want %d", rep.Stats.Position, len(data))
 	}
-	resp, err = http.Get(srv.URL + "/detections?stream=coop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("detections after detach status %d, want 404", resp.StatusCode)
+	if _, err := c.Detections(ctx, "coop", 0); !isAPIError(err, http.StatusNotFound, client.CodeUnknownStream) {
+		t.Fatalf("detections after detach: %v, want 404/%s", err, client.CodeUnknownStream)
 	}
 	if _, err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// isAPIError reports whether err is a typed /v1 error with the given status
+// and code.
+func isAPIError(err error, status int, code client.ErrorCode) bool {
+	ae, ok := err.(*client.APIError)
+	return ok && ae.Status == status && ae.Code == code
 }
 
 // TestLoadgenSmoke runs the generator at a tiny size and checks it
@@ -322,7 +288,7 @@ func TestLoadgenShardedSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := hub.NewSharded(hub.ShardedConfig{Shards: 4, Config: hub.Config{Workers: 2}})
+	sh, err := hub.New(hub.Config{Shards: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,31 +308,5 @@ func TestLoadgenShardedSmoke(t *testing.T) {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("sharded loadgen report missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestScalingSweepSmoke runs the -scaling sweep at a tiny size: all nine
-// shard × stream cells complete and each prints its throughput line and
-// per-shard breakdown.
-func TestScalingSweepSmoke(t *testing.T) {
-	tmp, err := os.Create(filepath.Join(t.TempDir(), "scaling.out"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tmp.Close()
-	if err := scalingSweep(tmp, 2, 0, hub.Block, 30, 6000, 64); err != nil {
-		t.Fatal(err)
-	}
-	out, err := os.ReadFile(tmp.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"scaling sweep:", "shards= 1 streams=", "shards= 4 streams=", "shards=16 streams=    30", "per-shard points:"} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("scaling report missing %q:\n%s", want, out)
-		}
-	}
-	if n := strings.Count(string(out), "pts/sec"); n != 9 {
-		t.Errorf("scaling sweep printed %d cells, want 9:\n%s", n, out)
 	}
 }

@@ -3,7 +3,7 @@
 // lazy-frontier engine against the eager reference engine for every native
 // classifier on the demo datasets; BenchmarkHubPush measures the hub's
 // steady-state ingest path with allocation reporting; BenchmarkHubPushSharded
-// sweeps the sharded hub across shard × stream-count cells. CI runs all
+// sweeps the hub across shard × stream-count cells. CI runs all
 // three at -benchtime=1x and appends the output to BENCH_eval.json (with
 // host cpus and go version), building the eval-path performance trajectory
 // alongside BENCH_train.json's training trajectory.
@@ -176,7 +176,7 @@ func benchQuietConfig(b *testing.B, seriesLen int) hub.StreamConfig {
 	return hub.StreamConfig{Classifier: clf, Stride: seriesLen, Step: 8}
 }
 
-// BenchmarkHubPushSharded sweeps the sharded hub across shards {1,4,16} ×
+// BenchmarkHubPushSharded sweeps the hub across shards {1,4,16} ×
 // stream counts {16, 1k, 100k}: GOMAXPROCS pusher goroutines partitioned
 // over the streams, batch-64 pushes against quiet pipelines, one op = a
 // fixed ~1M-point budget split evenly across the cell's streams (floor one
@@ -196,10 +196,7 @@ func BenchmarkHubPushSharded(b *testing.B) {
 	for _, nShards := range []int{1, 4, 16} {
 		for _, nStreams := range []int{16, 1024, 100_000} {
 			b.Run(fmt.Sprintf("shards=%d/streams=%d", nShards, nStreams), func(b *testing.B) {
-				sh, err := hub.NewSharded(hub.ShardedConfig{
-					Shards: nShards,
-					Config: hub.Config{Workers: pushers, QueueDepth: 4},
-				})
+				sh, err := hub.New(hub.Config{Shards: nShards, Workers: pushers, QueueDepth: 4})
 				if err != nil {
 					b.Fatal(err)
 				}

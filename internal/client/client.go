@@ -154,7 +154,8 @@ func (c *Client) Stats(ctx context.Context) (Totals, error) {
 
 // ShardStats fetches the full stats body (GET /v1/stats): hub-wide totals
 // plus the per-shard breakdown — queue backlog and drop counters per
-// shard — when the server runs a sharded hub (Shards is empty otherwise).
+// shard — when the server's hub has more than one shard (Shards is empty
+// otherwise).
 func (c *Client) ShardStats(ctx context.Context) (StatsResponse, error) {
 	var out StatsResponse
 	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &out, true)
@@ -296,7 +297,7 @@ func sleepBackoff(ctx context.Context, base time.Duration, attempt int) error {
 
 // decodeError turns a non-2xx response into an *APIError, preserving the
 // structured code when the body carries the envelope and falling back to
-// the raw body text otherwise (proxies, legacy routes).
+// the raw body text otherwise (proxies, non-/v1 paths).
 func decodeError(resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	var env ErrorEnvelope

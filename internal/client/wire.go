@@ -7,8 +7,7 @@
 // additive only — new endpoints, new optional request fields, new response
 // fields. Renaming or removing a field, changing a type, or changing an
 // error code's meaning requires a new version prefix (`/v2`) served
-// alongside `/v1`. Unversioned legacy routes (`/push`, `/stats`, …) are
-// frozen aliases kept for pre-`/v1` clients.
+// alongside `/v1`.
 package client
 
 import (
@@ -127,9 +126,9 @@ type CreateStreamRequest struct {
 }
 
 // StreamInfo is one registered stream's description and live stats. Shard
-// is the index of the hub shard owning the stream (always 0 on an
-// unsharded server): hub.ShardedHub's documented FNV-1a placement, echoed
-// so clients and external routers can verify their own hash computation.
+// is the index of the hub shard owning the stream (always 0 on a one-shard
+// server): hub.Hub's documented FNV-1a placement, echoed so clients and
+// external routers can verify their own hash computation.
 type StreamInfo struct {
 	ID     string          `json:"id"`
 	Kind   string          `json:"kind"`
@@ -254,9 +253,9 @@ type RouterStatsResponse struct {
 
 // StatsResponse is the full GET /v1/stats body: the hub-wide totals
 // (flattened — pre-shard clients decoding into Totals keep working
-// unchanged) plus, when the server runs a sharded hub, one entry per
-// shard with its own load, queue backlog, and drop counters. Shards is
-// in shard-index order and absent on an unsharded server.
+// unchanged) plus, when the server's hub has more than one shard, one
+// entry per shard with its own load, queue backlog, and drop counters.
+// Shards is in shard-index order and absent on a one-shard server.
 type StatsResponse struct {
 	hub.Totals
 	Shards []hub.ShardTotals `json:"shards,omitempty"`

@@ -54,9 +54,7 @@ func TestHubPushAllocFree(t *testing.T) {
 	if err := h.Attach("s", quietStreamConfig(t, 100_000)); err != nil {
 		t.Fatal(err)
 	}
-	h.mu.Lock()
-	s := h.streams["s"]
-	h.mu.Unlock()
+	s := testStream(h, "s")
 
 	// Park the drain and prewarm: with the queue preallocated to depth and
 	// one recycled buffer per measured Push in the freelist, the enqueue
@@ -103,9 +101,7 @@ func TestHubPushRecyclesBuffers(t *testing.T) {
 	if err := h.Attach("s", quietStreamConfig(t, 100_000)); err != nil {
 		t.Fatal(err)
 	}
-	h.mu.Lock()
-	s := h.streams["s"]
-	h.mu.Unlock()
+	s := testStream(h, "s")
 
 	batch := make([]float64, 48)
 	for i := 0; i < 12; i++ {

@@ -32,8 +32,9 @@ func decodeBatches(data []byte) [][]float64 {
 }
 
 // FuzzHubPush feeds arbitrary float batches (NaN/Inf included) through a
-// two-stream hub under the Drop policy and asserts the hub never panics
-// and every stream's position equals exactly the points it accepted.
+// two-stream hub under the Drop policy, on one shard and on three, and
+// asserts the hub never panics, every stream's position equals exactly the
+// points it accepted, and Close leaves a clean pending-verification ledger.
 func FuzzHubPush(f *testing.F) {
 	f.Add([]byte{8, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(3), uint8(2))
 	f.Add(append([]byte{16}, make([]byte, 64)...), uint8(1), uint8(1))
@@ -53,56 +54,20 @@ func FuzzHubPush(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, strideB, stepB uint8) {
-		h, err := New(Config{Workers: 2, QueueDepth: 4, Policy: Drop})
-		if err != nil {
-			t.Fatal(err)
+		for _, shards := range []int{1, 3} {
+			h, err := New(Config{Shards: shards, Workers: 2, QueueDepth: 4, Policy: Drop})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fuzzHubBody(t, h, clf, verifier, data, strideB, stepB)
 		}
-		fuzzHubBody(t, h, clf, verifier, data, strideB, stepB)
 	})
-}
-
-// FuzzShardedHubPush is FuzzHubPush over a ShardedHub: the same arbitrary
-// garbage batches, routed by the stream-ID hash across three shards, with
-// the same invariants — no panics, position equals accepted points, and a
-// clean pending-verification ledger at Close.
-func FuzzShardedHubPush(f *testing.F) {
-	f.Add([]byte{8, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(3), uint8(2))
-	f.Add(append([]byte{16}, make([]byte, 64)...), uint8(1), uint8(1))
-	inf := make([]byte, 17)
-	binary.LittleEndian.PutUint64(inf[1:], math.Float64bits(math.Inf(1)))
-	binary.LittleEndian.PutUint64(inf[9:], math.Float64bits(math.NaN()))
-	f.Add(inf, uint8(4), uint8(4))
-
-	train := tinyTrainSet(f)
-	clf, err := etsc.NewFixedPrefix(train, 8, false)
-	if err != nil {
-		f.Fatal(err)
-	}
-	verifier, err := stream.NewNNVerifier(train, 0.95, 1.0)
-	if err != nil {
-		f.Fatal(err)
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte, strideB, stepB uint8) {
-		h, err := NewSharded(ShardedConfig{Shards: 3, Config: Config{Workers: 3, QueueDepth: 4, Policy: Drop}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fuzzHubBody(t, h, clf, verifier, data, strideB, stepB)
-	})
-}
-
-// fuzzHub is the hub surface both fuzz targets drive.
-type fuzzHub interface {
-	ingester
-	Flush()
-	Snapshot() map[string]StreamStats
 }
 
 // fuzzHubBody runs the shared fuzz scenario: two pipelines (one verified),
 // arbitrary decoded batches alternating between them, then the position
 // and detection invariants.
-func fuzzHubBody(t *testing.T, h fuzzHub, clf etsc.EarlyClassifier, verifier stream.Verifier, data []byte, strideB, stepB uint8) {
+func fuzzHubBody(t *testing.T, h *Hub, clf etsc.EarlyClassifier, verifier stream.Verifier, data []byte, strideB, stepB uint8) {
 	stride := int(strideB)%6 + 1
 	step := int(stepB)%6 + 1
 	if err := h.Attach("plain", StreamConfig{Classifier: clf, Stride: stride, Step: step}); err != nil {

@@ -54,15 +54,6 @@ func goldenBatches(t testing.TB, kinds []Kind) (series map[string][]float64, bat
 	return series, batches, ids
 }
 
-// ingester is the attach/push/close slice of the hub surface the golden
-// battery drives; *Hub and *ShardedHub both satisfy it, so one runner pins
-// both to the same transcript.
-type ingester interface {
-	Attach(id string, sc StreamConfig) error
-	Push(id string, points []float64) error
-	Close() ([]StreamReport, error)
-}
-
 // runGolden pushes the scenario through a hub with the given worker count,
 // interleaving batches round-robin across all 24 streams so distinct
 // streams genuinely overlap in the pool, and returns the final reports.
@@ -76,7 +67,7 @@ func runGolden(t testing.TB, kinds []Kind, batches map[string][][]float64, ids [
 }
 
 // runGoldenOn drives the golden workload through an already-built hub.
-func runGoldenOn(t testing.TB, h ingester, kinds []Kind, batches map[string][][]float64, ids []string) []StreamReport {
+func runGoldenOn(t testing.TB, h *Hub, kinds []Kind, batches map[string][][]float64, ids []string) []StreamReport {
 	t.Helper()
 	byKind := map[string]Kind{}
 	for _, k := range kinds {

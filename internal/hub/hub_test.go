@@ -425,3 +425,12 @@ func TestDemoKindsSharedMatchesDemoKinds(t *testing.T) {
 		}
 	}
 }
+
+// testStream returns a stream's internal state from its owning shard, for
+// tests that park its drain or prewarm its buffers.
+func testStream(h *Hub, id string) *hubStream {
+	sh := h.shard(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.streams[id]
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,25 +30,6 @@ func recoveryKinds(t testing.TB) []Kind {
 		t.Fatal(recKindsErr)
 	}
 	return recKinds
-}
-
-// recoveryHub abstracts the flat and sharded hubs behind the handful of
-// calls the battery drives, so one battery body proves both topologies.
-type recoveryHub interface {
-	Attach(id string, sc StreamConfig) error
-	Push(id string, points []float64) error
-	PushAt(id string, at int, points []float64) error
-	Export(id string) ([]byte, error)
-	Restore(data []byte, sc StreamConfig) (string, error)
-	Flush()
-	Close() ([]StreamReport, error)
-}
-
-// flatHub adapts *Hub (whose Restore returns only the id) to recoveryHub.
-type flatHub struct{ *Hub }
-
-func (f flatHub) Restore(data []byte, sc StreamConfig) (string, error) {
-	return f.Hub.Restore(data, sc)
 }
 
 // TestCrashRecoveryBattery is the tentpole proof: run the demo workload,
@@ -95,20 +75,16 @@ func TestCrashRecoveryBattery(t *testing.T) {
 			name := fmt.Sprintf("sharded=%v/workers=%d", sharded, workers)
 			t.Run(name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(workers)*31 + int64(len(name))))
-				newHub := func() recoveryHub {
-					if sharded {
-						sh, err := NewSharded(ShardedConfig{Shards: 3,
-							Config: Config{Workers: workers, QueueDepth: maxBatches, Policy: Block}})
-						if err != nil {
-							t.Fatal(err)
-						}
-						return sh
-					}
-					h, err := New(Config{Workers: workers, QueueDepth: maxBatches, Policy: Block})
+				shards := 1
+				if sharded {
+					shards = 3
+				}
+				newHub := func() *Hub {
+					h, err := New(Config{Shards: shards, Workers: workers, QueueDepth: maxBatches, Policy: Block})
 					if err != nil {
 						t.Fatal(err)
 					}
-					return flatHub{h}
+					return h
 				}
 
 				// batches splits a stream's data into uneven chunks, the
@@ -310,93 +286,6 @@ func TestExportIsNonDestructive(t *testing.T) {
 	}
 }
 
-// TestMigrate pins the rebalancing building block: a live stream moves to
-// another shard mid-flight — pending verifications travelling inside the
-// snapshot, not recanted — routing follows it, and the final transcript is
-// byte-identical to Reference. Moving a stream back to its hash-owned
-// shard drops the placement override.
-func TestMigrate(t *testing.T) {
-	kinds := recoveryKinds(t)
-	streams, err := DemoStreams(kinds, 79, 3, 3_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := NewSharded(ShardedConfig{Shards: 4, Config: Config{Workers: 4, QueueDepth: 256}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ds := range streams {
-		if err := sh.Attach(ds.ID, ds.Config); err != nil {
-			t.Fatal(err)
-		}
-	}
-	moved := map[string]int{}
-	for i, ds := range streams {
-		for at := 0; at < len(ds.Data); at += 50 {
-			end := at + 50
-			if end > len(ds.Data) {
-				end = len(ds.Data)
-			}
-			if err := sh.Push(ds.ID, ds.Data[at:end]); err != nil {
-				t.Fatal(err)
-			}
-			if at == 500 {
-				home := shardIndex(ds.ID, sh.Shards())
-				to := (home + 1 + i) % sh.Shards()
-				if to == home {
-					to = (to + 1) % sh.Shards()
-				}
-				if err := sh.Migrate(ds.ID, to, ds.Config); err != nil {
-					t.Fatalf("%s: migrate: %v", ds.ID, err)
-				}
-				if got := sh.ShardFor(ds.ID); got != to {
-					t.Fatalf("%s: ShardFor = %d after migrate to %d", ds.ID, got, to)
-				}
-				moved[ds.ID] = to
-			}
-		}
-	}
-	// Migrating one stream home again must clear its override.
-	first := streams[0].ID
-	home := shardIndex(first, sh.Shards())
-	if err := sh.Migrate(first, home, streams[0].Config); err != nil {
-		t.Fatal(err)
-	}
-	if got := sh.ShardFor(first); got != home {
-		t.Fatalf("%s: ShardFor = %d after moving home to %d", first, got, home)
-	}
-
-	reports, err := sh.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reports {
-		var data []float64
-		for _, ds := range streams {
-			if ds.ID == r.ID {
-				data = ds.Data
-			}
-		}
-		ref, err := Reference(kindFor(kinds, r.ID).Config, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := fmt.Sprintf("%+v", r.Detections), fmt.Sprintf("%+v", ref); got != want {
-			t.Errorf("%s: migrated transcript != Reference\n got %s\nwant %s", r.ID, got, want)
-		}
-	}
-}
-
-func kindFor(kinds []Kind, id string) Kind {
-	name := strings.SplitN(id, "-", 2)[0]
-	for _, k := range kinds {
-		if k.Name == name {
-			return k
-		}
-	}
-	panic("unknown kind for " + id)
-}
-
 // TestRestoreRejectsCorruptSnapshots is the hub half of the
 // restore-hardening battery: a real exported snapshot, hand-corrupted
 // every way a disk or a bug can corrupt it, must always fail with a typed
@@ -494,11 +383,39 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		}
 	}
 
-	// Duplicate attach: restoring over a live stream is refused.
-	if _, err := h.Restore(good, ds.Config); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("duplicate restore error = %v, want ErrDuplicate", err)
-	}
 	if _, err := h.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Duplicate attach: restoring a stream's own export over it while it is
+	// live is refused on every shard count, and leaves exactly one stream.
+	for _, shards := range []int{1, 4} {
+		hd, err := New(Config{Shards: shards, Workers: 1, QueueDepth: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hd.Attach(ds.ID, ds.Config); err != nil {
+			t.Fatal(err)
+		}
+		if err := hd.Push(ds.ID, ds.Data[:300]); err != nil {
+			t.Fatal(err)
+		}
+		live, err := hd.Export(ds.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hd.Restore(live, ds.Config); !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("shards=%d: duplicate restore error = %v, want ErrDuplicate", shards, err)
+		}
+		if n := hd.Stats().Streams; n != 1 {
+			t.Fatalf("shards=%d: %d streams after a refused duplicate restore, want 1", shards, n)
+		}
+		reports, err := hd.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reports) != 1 || reports[0].ID != ds.ID {
+			t.Fatalf("shards=%d: Close returned %d reports, want one for %s", shards, len(reports), ds.ID)
+		}
 	}
 }

@@ -34,7 +34,7 @@ func TestShardedGoldenDeterminism(t *testing.T) {
 	}
 	for _, shards := range []int{1, 4, 16} {
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-			sh, err := NewSharded(ShardedConfig{Shards: shards, Config: Config{Workers: workers}})
+			sh, err := New(Config{Shards: shards, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +67,7 @@ func TestShardedGoldenDeterminism(t *testing.T) {
 // ShardTotals merge to the same view a flat iteration over streams gives.
 func TestShardedRoutingAndMerge(t *testing.T) {
 	const shards = 4
-	sh, err := NewSharded(ShardedConfig{Shards: shards, Config: Config{Workers: 2}})
+	sh, err := New(Config{Shards: shards, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,8 @@ func TestShardedRoutingAndMerge(t *testing.T) {
 		}
 		// The stream must be registered on its hash-owned shard and only
 		// there — that is the whole routing contract.
-		for si, shard := range sh.shards {
-			_, _, err := shard.DetectionsSettled(ids[i])
+		for si, part := range sh.shards {
+			_, _, err := part.detectionsSettled(ids[i])
 			if owned := si == want; (err == nil) != owned {
 				t.Fatalf("%s on shard %d: err=%v, want owned=%v", ids[i], si, err, owned)
 			}
@@ -169,7 +169,7 @@ func TestShardedRoutingAndMerge(t *testing.T) {
 func TestShardedQueueBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	slow := &gateClassifier{full: 16, gate: gate}
-	sh, err := NewSharded(ShardedConfig{Shards: 3, Config: Config{Workers: 3, QueueDepth: 2, Policy: Drop}})
+	sh, err := New(Config{Shards: 3, Workers: 3, QueueDepth: 2, Policy: Drop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,21 +215,22 @@ func TestShardedQueueBackpressure(t *testing.T) {
 	}
 }
 
-// TestShardedConfigValidation rejects bad shard counts and propagates
-// per-shard Config validation.
+// TestShardedConfigValidation rejects bad shard counts and bad per-shard
+// settings at New, and pins the zero Config to one shard.
 func TestShardedConfigValidation(t *testing.T) {
-	for _, cfg := range []ShardedConfig{
+	for _, cfg := range []Config{
 		{Shards: -1},
-		{Shards: 2, Config: Config{Workers: -1}},
-		{Shards: 2, Config: Config{QueueDepth: -1}},
-		{Shards: 2, Config: Config{Policy: Policy(7)}},
+		{Workers: -1},
+		{Shards: 2, Workers: -1},
+		{Shards: 2, QueueDepth: -1},
+		{Shards: 2, Policy: Policy(7)},
 	} {
-		if _, err := NewSharded(cfg); err == nil {
-			t.Errorf("NewSharded(%+v) accepted an invalid config", cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New(%+v) accepted an invalid config", cfg)
 		}
 	}
 	// Zero value: one shard, usable.
-	sh, err := NewSharded(ShardedConfig{})
+	sh, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,9 +242,10 @@ func TestShardedConfigValidation(t *testing.T) {
 	}
 }
 
-// TestShardIndexStable pins the hash contract itself: shardIndex is a pure
-// function of (id, n) with pinned values, so external routers computing
-// placement from the documented FNV-1a formula cannot drift from the hub.
+// TestShardIndexStable pins the hash contract itself: ShardFor is a pure
+// function of (id, shards) with pinned values, so external routers
+// computing placement from the documented FNV-1a formula cannot drift from
+// the hub.
 func TestShardIndexStable(t *testing.T) {
 	pins := []struct {
 		id     string
@@ -256,8 +258,15 @@ func TestShardIndexStable(t *testing.T) {
 		{"gunpoint-01", 16, 7},
 	}
 	for _, p := range pins {
-		if got := shardIndex(p.id, p.n); got != p.out {
-			t.Errorf("shardIndex(%q, %d) = %d, want pinned %d", p.id, p.n, got, p.out)
+		h, err := New(Config{Shards: p.n, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.ShardFor(p.id); got != p.out {
+			t.Errorf("ShardFor(%q) over %d shards = %d, want pinned %d", p.id, p.n, got, p.out)
+		}
+		if _, err := h.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -265,21 +274,19 @@ func TestShardIndexStable(t *testing.T) {
 // TestCloseIdempotentUnderPush is the regression test for the Close
 // contract: Close racing with in-flight Pushes and with other Close calls
 // must neither panic nor hang, every Close call must return the same
-// drained reports, and no accepted batch may be lost — for the plain Hub
-// and the sharded hub alike.
+// drained reports, and no accepted batch may be lost — on one shard and
+// on several.
 func TestCloseIdempotentUnderPush(t *testing.T) {
 	builds := []struct {
 		name string
-		make func() (ingester, error)
+		cfg  Config
 	}{
-		{"hub", func() (ingester, error) { return New(Config{Workers: 2, QueueDepth: 4}) }},
-		{"sharded", func() (ingester, error) {
-			return NewSharded(ShardedConfig{Shards: 4, Config: Config{Workers: 4, QueueDepth: 4}})
-		}},
+		{"hub", Config{Workers: 2, QueueDepth: 4}},
+		{"sharded", Config{Shards: 4, Workers: 4, QueueDepth: 4}},
 	}
 	for _, bc := range builds {
 		t.Run(bc.name, func(t *testing.T) {
-			h, err := bc.make()
+			h, err := New(bc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -371,7 +378,7 @@ func TestShardedHubMatchesOnline(t *testing.T) {
 	}
 	series := map[string][]float64{}
 	for _, shards := range []int{1, 4, 16} {
-		sh, err := NewSharded(ShardedConfig{Shards: shards, Config: Config{Workers: 4}})
+		sh, err := New(Config{Shards: shards, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@ import (
 // detection transcript with verification cursors and the settled watch
 // boundary, and the raw sample tail pending verifications still need —
 // exports as one self-validating snap frame and restores into another Hub
-// (another shard, another process, a post-crash reboot).
+// (another process, another node, a post-crash reboot).
 //
 // What is NOT in the snapshot: the trained classifier and the verifier.
 // Those are configuration, not stream state — the restoring side supplies
@@ -43,7 +43,9 @@ const (
 // in the snapshot — they are past the snapshot's Position, in replay
 // territory — so a snapshot taken under load is simply a slightly earlier
 // consistent cut. The stream keeps accepting pushes throughout.
-func (h *Hub) Export(id string) ([]byte, error) {
+func (h *Hub) Export(id string) ([]byte, error) { return h.shard(id).export(id) }
+
+func (h *shard) export(id string) ([]byte, error) {
 	h.mu.Lock()
 	s, ok := h.streams[id]
 	h.mu.Unlock()
@@ -143,8 +145,16 @@ func SnapshotInfo(data []byte) (id string, position int, err error) {
 // them are ignored), so the restored pipeline is the one that was
 // exported. Returns the stream ID on success. Corrupt or truncated
 // snapshots fail with snap sentinel errors and never panic; nothing is
-// attached on failure.
+// attached on failure; restoring over a live stream ID is ErrDuplicate.
 func (h *Hub) Restore(data []byte, sc StreamConfig) (string, error) {
+	id, _, err := SnapshotInfo(data)
+	if err != nil {
+		return "", err
+	}
+	return h.shard(id).restore(data, sc)
+}
+
+func (h *shard) restore(data []byte, sc StreamConfig) (string, error) {
 	kind, version, payload, err := snap.Decode(data)
 	if err != nil {
 		return "", err
@@ -304,32 +314,4 @@ func (h *Hub) Restore(data []byte, sc StreamConfig) (string, error) {
 	}
 	h.streams[id] = s
 	return id, nil
-}
-
-// exportRemove exports a stream and removes it from the hub in one step —
-// the sending half of a migration. Unlike Detach it does NOT finalize:
-// pending verifications stay pending inside the snapshot instead of being
-// recanted, so the receiving hub continues the transcript rather than
-// sealing it. Pushers blocked on the stream are released with
-// ErrUnknownStream (they re-resolve placement and retry); watchers observe
-// final and reconnect with ?since on the destination.
-func (h *Hub) exportRemove(id string) ([]byte, error) {
-	h.mu.Lock()
-	s, ok := h.streams[id]
-	if ok {
-		delete(h.streams, id)
-	}
-	h.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownStream, id)
-	}
-	s.mu.Lock()
-	s.detached = true
-	s.cond.Broadcast()
-	s.waitDrainedLocked()
-	data := s.exportLocked()
-	s.final = true
-	s.wakeWatchersLocked()
-	s.mu.Unlock()
-	return data, nil
 }

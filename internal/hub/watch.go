@@ -38,7 +38,9 @@ type Watch struct {
 // since. A negative since starts at 0; a since beyond the settled prefix is
 // clamped down to it (the same clamp the cursor endpoint applies), so a
 // resuming subscriber can never skip a detection by overshooting.
-func (h *Hub) Watch(id string, since int) (*Watch, error) {
+func (h *Hub) Watch(id string, since int) (*Watch, error) { return h.shard(id).watch(id, since) }
+
+func (h *shard) watch(id string, since int) (*Watch, error) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()

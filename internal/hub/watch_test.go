@@ -309,9 +309,7 @@ func TestShedEvictsOldest(t *testing.T) {
 	if err := h.Attach("s", quietStreamConfig(t, 100_000)); err != nil {
 		t.Fatal(err)
 	}
-	h.mu.Lock()
-	s := h.streams["s"]
-	h.mu.Unlock()
+	s := testStream(h, "s")
 	s.mu.Lock()
 	s.running = true // park the drain so the queue can only fill
 	s.mu.Unlock()
@@ -442,9 +440,7 @@ func TestHubPushAllocFreeWithMetrics(t *testing.T) {
 	if err := h.Attach("s", quietStreamConfig(t, 100_000)); err != nil {
 		t.Fatal(err)
 	}
-	h.mu.Lock()
-	s := h.streams["s"]
-	h.mu.Unlock()
+	s := testStream(h, "s")
 	s.mu.Lock()
 	s.running = true
 	for i := 0; i < runs+2; i++ {
@@ -496,7 +492,7 @@ func TestShardedWatchAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewSharded(ShardedConfig{Shards: 3, Config: Config{Workers: 3}})
+	sh, err := New(Config{Shards: 3, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

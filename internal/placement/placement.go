@@ -1,16 +1,16 @@
 // Package placement is the process-independent stream-placement contract
-// shared by every layer that partitions streams by ID: the sharded hub
-// (shard routing), the /v1 serving layer (placement echo in StreamInfo),
-// and the multi-node router front tier (backend routing).
+// shared by every layer that partitions streams by ID: the hub (shard
+// routing), the /v1 serving layer (placement echo in StreamInfo), and the
+// multi-node router front tier (backend routing).
 //
 // The contract: Index(id, n) is FNV-1a (32-bit) over the raw bytes of the
 // stream ID, reduced mod n. It is a pure function of its inputs — no
 // process state, no randomization, no architecture dependence — so two
 // processes that agree on n agree on every stream's placement without
-// coordinating. hub.ShardedHub documents the same function as its shard
-// hash (TestShardIndexStable pins sample values); lifting it here makes
-// the cross-process guarantee explicit: a router hashing onto N backends
-// and each backend hashing onto its local shards compose into a stable
+// coordinating. hub.Hub documents the same function as its shard hash
+// (TestShardIndexStable pins sample values); lifting it here makes the
+// cross-process guarantee explicit: a router hashing onto N backends and
+// each backend hashing onto its local shards compose into a stable
 // two-level placement.
 //
 // Changing this function is a flag-day break for any fleet with persisted

@@ -28,10 +28,10 @@ func TestIndexMatchesFNV(t *testing.T) {
 
 // TestIndexMatchesHubShardFor pins the cross-layer invariant the router
 // relies on: placement.Index computes the identical function as the
-// sharded hub's own routing, for any id and table size.
+// hub's own shard routing, for any id and table size.
 func TestIndexMatchesHubShardFor(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 16} {
-		sh, err := hub.NewSharded(hub.ShardedConfig{Shards: n, Config: hub.Config{Workers: 1}})
+		sh, err := hub.New(hub.Config{Shards: n, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,10 +33,14 @@ import (
 )
 
 func TestChaosKillBackend(t *testing.T) {
+	// The killed backend refuses connections, so its probes fail at once.
+	// The long probe timeout keeps a live backend that is merely slow (a
+	// loaded CPU, the race detector) from being declared dead as well.
 	f := newFleet(t, 3, fleetOpts{
 		checkpoints:   true,
 		ckptInterval:  40 * time.Millisecond,
 		probeInterval: 20 * time.Millisecond,
+		probeTimeout:  time.Second,
 		failThreshold: 2,
 		routeWait:     5 * time.Second,
 	})
@@ -70,11 +74,28 @@ func TestChaosKillBackend(t *testing.T) {
 	// the expected post-recovery signal (the survivor restored a slightly
 	// stale checkpoint); anything else gets a bounded number of retries on
 	// top of the client's own backoff.
-	var wg sync.WaitGroup
+	//
+	// The kill must land mid-traffic: it waits until every pusher is past
+	// its midpoint, and every pusher holds its last batch until the victim
+	// is declared dead. Otherwise a fast pusher could finish its series
+	// before the kill, and the tail the victim acked after its last
+	// checkpoint would never be re-delivered.
+	var (
+		wg     sync.WaitGroup
+		midway sync.WaitGroup
+	)
+	killed := make(chan struct{})
+	midway.Add(len(streams))
 	for _, ds := range streams {
 		wg.Add(1)
 		go func(ds hub.DemoStream) {
 			defer wg.Done()
+			passed := false
+			defer func() {
+				if !passed {
+					midway.Done()
+				}
+			}()
 			const batch = 48
 			deadline := time.Now().Add(60 * time.Second)
 			at := 256
@@ -83,9 +104,19 @@ func TestChaosKillBackend(t *testing.T) {
 					t.Errorf("pusher %s timed out at position %d", ds.ID, at)
 					return
 				}
+				if !passed && at >= len(ds.Data)/2 {
+					passed = true
+					midway.Done()
+				}
 				end := at + batch
-				if end > len(ds.Data) {
+				if end >= len(ds.Data) {
 					end = len(ds.Data)
+					select {
+					case <-killed:
+					case <-time.After(time.Until(deadline)):
+						t.Errorf("pusher %s: victim never declared dead", ds.ID)
+						return
+					}
 				}
 				_, err := f.c.PushAt(ctx, ds.ID, at, ds.Data[at:end])
 				if err == nil {
@@ -107,11 +138,12 @@ func TestChaosKillBackend(t *testing.T) {
 		}(ds)
 	}
 
-	// Let the pushers get into the middle of their series, then kill.
-	time.Sleep(150 * time.Millisecond)
+	// Let every pusher get past the middle of its series, then kill.
+	midway.Wait()
 	t.Logf("killing %s", victim.name)
 	victim.kill()
 	f.waitDead(victimIdx)
+	close(killed)
 
 	wg.Wait()
 	dead := map[int]bool{victimIdx: true}

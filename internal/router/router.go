@@ -2,7 +2,7 @@
 // a fixed table of N backend etsc-serve processes and serves the same /v1
 // protocol they do, routing every stream-scoped request to the stream's
 // owner backend by the shared placement contract (placement.Index — the
-// identical FNV-1a-mod-N function hub.ShardedHub uses for shard routing)
+// identical FNV-1a-mod-N function hub.Hub uses for shard routing)
 // and fanning out + deterministically merging the cross-stream endpoints.
 //
 //	stream-scoped (routed to the owner backend, owner echoed in the
@@ -395,7 +395,8 @@ func aliveBackends(table []*backend) []*backend {
 }
 
 // setOverride records (or with name == "" clears) a stream's placement
-// override, copy-on-write like the sharded hub's own override map.
+// override. Copy-on-write: routing keeps reading the previous immutable
+// map until the swap.
 func (rt *Router) setOverride(id, name string) {
 	rt.ovMu.Lock()
 	defer rt.ovMu.Unlock()
@@ -707,7 +708,8 @@ func (rt *Router) v1ListStreams(w http.ResponseWriter, r *http.Request) {
 
 // v1Stats sums every alive backend's totals and reports one row per
 // backend in table order (dead rows zero-valued, Alive false) — the
-// commutative merge the sharded hub already defines, lifted one tier.
+// commutative merge the hub already defines across its shards, lifted one
+// tier.
 func (rt *Router) v1Stats(w http.ResponseWriter, r *http.Request) {
 	table := *rt.table.Load()
 	rows := make([]client.BackendTotals, len(table))

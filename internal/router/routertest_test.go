@@ -53,6 +53,7 @@ type fleetOpts struct {
 	checkpoints   bool          // run a background checkpointer per backend
 	ckptInterval  time.Duration // default 50ms
 	probeInterval time.Duration // default 25ms
+	probeTimeout  time.Duration // default probeInterval
 	failThreshold int           // default 2
 	routeWait     time.Duration // default 5s
 	hubCfg        hub.Config
@@ -114,6 +115,7 @@ func newFleet(t *testing.T, n int, opts fleetOpts) *fleet {
 		Backends:       specs,
 		CheckpointRoot: f.root,
 		ProbeInterval:  opts.probeInterval,
+		ProbeTimeout:   opts.probeTimeout,
 		FailThreshold:  opts.failThreshold,
 		RouteWait:      opts.routeWait,
 		Logf:           t.Logf,

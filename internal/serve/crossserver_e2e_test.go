@@ -38,7 +38,7 @@ func TestCrossServerSnapshotReplay(t *testing.T) {
 	}
 	half := len(ds.Data) / 2
 	pushRange(t, srvA.Client, ds.ID, ds.Data, 0, half, true)
-	srvA.Flush()
+	srvA.Hub.Flush()
 
 	snap, err := srvA.Client.SnapshotStream(ctx, ds.ID)
 	if err != nil {
@@ -66,7 +66,7 @@ func TestCrossServerSnapshotReplay(t *testing.T) {
 	// before the watermark; the overlap must be skipped, not re-applied.
 	from := half - 217
 	pushRange(t, srvB.Client, ds.ID, ds.Data, from, len(ds.Data), true)
-	srvB.Flush()
+	srvB.Hub.Flush()
 
 	rep, err := srvB.Client.DeleteStream(ctx, ds.ID)
 	if err != nil {

@@ -2,7 +2,6 @@ package serve_test
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -145,54 +144,6 @@ func TestV1ErrorPaths(t *testing.T) {
 	}
 }
 
-// TestLegacyErrorPaths pins the frozen alias behaviour: plain-text 4xx
-// errors, lazy attach, and no ghost streams on rejected pushes.
-func TestLegacyErrorPaths(t *testing.T) {
-	kinds := servetest.DemoKinds(t)
-	srv := servetest.New(t, hub.Config{Workers: 1}, kinds)
-	h, ts := srv.Hub, srv.HTTP
-
-	// Wrong methods.
-	if status, _ := servetest.RawStatus(t, http.MethodGet, ts.URL+"/push?stream=x", ""); status != http.StatusMethodNotAllowed {
-		t.Errorf("GET /push: %d", status)
-	}
-	if status, _ := servetest.RawStatus(t, http.MethodGet, ts.URL+"/detach?stream=x", ""); status != http.StatusMethodNotAllowed {
-		t.Errorf("GET /detach: %d", status)
-	}
-
-	// Missing stream id, bad floats, unknown kind — all plain-text 400s.
-	if status, _ := servetest.RawStatus(t, http.MethodPost, ts.URL+"/push", "1 2"); status != http.StatusBadRequest {
-		t.Errorf("missing stream: %d", status)
-	}
-	if status, _ := servetest.RawStatus(t, http.MethodPost, ts.URL+"/push?stream=ghost", "not-a-float"); status != http.StatusBadRequest {
-		t.Errorf("garbage body: %d", status)
-	}
-	if status, _ := servetest.RawStatus(t, http.MethodPost, ts.URL+"/push?stream=x&kind=lobster", "1 2"); status != http.StatusBadRequest {
-		t.Errorf("unknown kind: %d", status)
-	}
-	// No ghost streams from rejected pushes.
-	var snap map[string]hub.StreamStats
-	_, body := servetest.RawStatus(t, http.MethodGet, ts.URL+"/streams", "")
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap) != 0 {
-		t.Errorf("ghost streams attached: %v", snap)
-	}
-
-	// Unknown stream on read endpoints.
-	if status, _ := servetest.RawStatus(t, http.MethodGet, ts.URL+"/detections?stream=nope", ""); status != http.StatusNotFound {
-		t.Errorf("unknown detections: %d", status)
-	}
-	if status, _ := servetest.RawStatus(t, http.MethodPost, ts.URL+"/detach?stream=nope", ""); status != http.StatusNotFound {
-		t.Errorf("unknown detach: %d", status)
-	}
-
-	if _, err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestV1PushBackpressure429 pins the Drop policy surfacing as a 429 with
 // the backpressure code and a Retry-After hint on /v1.
 func TestV1PushBackpressure429(t *testing.T) {
@@ -241,32 +192,6 @@ func TestV1PushBackpressure429(t *testing.T) {
 	}
 	if lastRetry == "" {
 		t.Error("429 without Retry-After")
-	}
-	if _, err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLegacyPushBackpressure429 pins the same Drop-policy 429 on the
-// legacy /push alias.
-func TestLegacyPushBackpressure429(t *testing.T) {
-	srv := servetest.New(t, hub.Config{Workers: 1, QueueDepth: 1, Policy: hub.Drop}, []hub.Kind{servetest.SlowKind()})
-	h, ts := srv.Hub, srv.HTTP
-
-	points := strings.Repeat("0.5 ", 256)
-	saw429 := false
-	for i := 0; i < 8 && !saw429; i++ {
-		status, _ := servetest.RawStatus(t, http.MethodPost, ts.URL+"/push?stream=s1&kind=slow", points)
-		switch status {
-		case http.StatusOK:
-		case http.StatusTooManyRequests:
-			saw429 = true
-		default:
-			t.Fatalf("legacy push status %d", status)
-		}
-	}
-	if !saw429 {
-		t.Fatal("no 429 after 8 rapid legacy pushes against a full depth-1 queue")
 	}
 	if _, err := h.Close(); err != nil {
 		t.Fatal(err)

@@ -132,7 +132,7 @@ func FuzzWatchFrames(f *testing.F) {
 			}
 			off = end
 		}
-		srv.Flush()
+		srv.Hub.Flush()
 		settled, err := c.Detections(ctx, "fz", 1_000_000_000) // clamped: Next == settled
 		if err != nil {
 			t.Fatal(err)

@@ -4,7 +4,7 @@
 //
 //   - Hot-path instruments (push latency, batch/drop/shed counters) live in
 //     the hub and are registered by hub.(*Hub).SetMetrics — atomic updates
-//     on the ingest path, per-shard labels on a sharded hub.
+//     on the ingest path, per-shard labels when the hub has several shards.
 //   - Everything derived from state — per-stream queue depth and watcher
 //     counts, per-kind detection totals, per-shard backlog — is registered
 //     here as scrape-time Collect families over hub.Snapshot joined with
@@ -128,23 +128,23 @@ func (s *Server) EnableMetrics(reg *metrics.Registry) *metrics.Registry {
 			}
 		})
 
-	if s.sharded != nil {
+	if s.hub.Shards() > 1 {
 		shardLabel := func(i int) metrics.Label { return metrics.L("shard", strconv.Itoa(i)) }
 		reg.Collect("etsc_shard_queue_depth", "Batches queued per shard.", metrics.TypeGauge,
 			func(emit func(float64, ...metrics.Label)) {
-				for _, st := range s.sharded.ShardTotals() {
+				for _, st := range s.hub.ShardTotals() {
 					emit(float64(st.QueuedBatches), shardLabel(st.Shard))
 				}
 			})
 		reg.Collect("etsc_shard_streams", "Attached streams per shard.", metrics.TypeGauge,
 			func(emit func(float64, ...metrics.Label)) {
-				for _, st := range s.sharded.ShardTotals() {
+				for _, st := range s.hub.ShardTotals() {
 					emit(float64(st.Streams), shardLabel(st.Shard))
 				}
 			})
 		reg.Collect("etsc_shard_detections_total", "Detections per shard, across its live streams.", metrics.TypeCounter,
 			func(emit func(float64, ...metrics.Label)) {
-				for _, st := range s.sharded.ShardTotals() {
+				for _, st := range s.hub.ShardTotals() {
 					emit(float64(st.Detections), shardLabel(st.Shard))
 				}
 			})

@@ -75,7 +75,7 @@ func TestMetricsEndpointFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv.Flush()
+	srv.Hub.Flush()
 
 	// One live watcher so etsc_watchers is non-zero at scrape time. Watch
 	// registers the subscription before the response headers are written, so
@@ -144,9 +144,9 @@ func TestMetricsDisabledIs404(t *testing.T) {
 func TestMetricsEndpointSharded(t *testing.T) {
 	kinds := servetest.DemoKinds(t)
 	const shards = 3
-	srv := servetest.NewSharded(t, hub.ShardedConfig{Shards: shards, Config: hub.Config{Workers: 2}}, kinds)
+	srv := servetest.New(t, hub.Config{Shards: shards, Workers: 2}, kinds)
 	reg := srv.Srv.EnableMetrics(nil)
-	srv.Sharded.SetMetrics(reg)
+	srv.Hub.SetMetrics(reg)
 	c := srv.Client
 	ctx := context.Background()
 
@@ -162,7 +162,7 @@ func TestMetricsEndpointSharded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv.Flush()
+	srv.Hub.Flush()
 
 	body := scrape(t, srv.HTTP.URL)
 	for i := 0; i < shards; i++ {

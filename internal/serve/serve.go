@@ -1,7 +1,6 @@
 // Package serve is the HTTP face of the multi-stream monitoring hub: the
 // versioned `/v1` REST API (wire types in internal/client, the protocol's
-// single source of truth) plus the frozen unversioned legacy routes kept
-// as aliases for pre-`/v1` clients.
+// single source of truth).
 //
 //	POST   /v1/streams            register a stream (kind or spec, engine, geometry)
 //	GET    /v1/streams            list streams with live stats
@@ -18,14 +17,12 @@
 //
 // Every `/v1` failure is a structured JSON error
 // {"error":{"code":"...","message":"..."}} with a machine-readable code
-// (client.ErrorCode). Unlike the legacy `/push`, `/v1` registration is
-// explicit: pushing to an unregistered stream is CodeUnknownStream, not a
-// lazy attach — a production fleet should not materialize pipelines from
-// typos.
+// (client.ErrorCode). Registration is explicit: pushing to an unregistered
+// stream is CodeUnknownStream, not a lazy attach — a production fleet
+// should not materialize pipelines from typos.
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -41,43 +38,19 @@ import (
 	"etsc/internal/etsc"
 	"etsc/internal/hub"
 	"etsc/internal/metrics"
-	"etsc/internal/stream"
 )
 
 // maxBody bounds one request's body (~32 MB ≈ 1.5M points as text) so a
 // single client cannot balloon process memory.
 const maxBody = 32 << 20
 
-// streamHub is the slice of the hub surface the HTTP layer drives;
-// *hub.Hub and *hub.ShardedHub both satisfy it, so one handler set serves
-// both shapes. Routing is the hub's own: every method takes the stream ID,
-// and the sharded hub hashes it to the owning shard internally — the /v1
-// layer and the hub can never disagree on placement.
-type streamHub interface {
-	Attach(id string, sc hub.StreamConfig) error
-	Push(id string, points []float64) error
-	PushAt(id string, at int, points []float64) error
-	Export(id string) ([]byte, error)
-	Restore(data []byte, sc hub.StreamConfig) (string, error)
-	Detach(id string) (hub.StreamReport, error)
-	Snapshot() map[string]hub.StreamStats
-	Stats() hub.Totals
-	Detections(id string) ([]stream.Detection, error)
-	DetectionsSettled(id string) ([]stream.Detection, int, error)
-	Watch(id string, since int) (*hub.Watch, error)
-}
-
-// Server routes HTTP traffic onto one hub — flat or sharded. Streams
-// registered through `/v1` and streams lazily attached through the legacy
-// `/push` share the hub and are visible to both APIs.
+// Server routes HTTP traffic onto one hub. A hub with more than one shard
+// adds the per-shard half of /v1/stats and the /metrics shard families.
 type Server struct {
-	hub streamHub
-	// sharded is non-nil when the hub is a ShardedHub; it feeds the
-	// per-shard half of /v1/stats and the Shard field of StreamInfo.
-	sharded *hub.ShardedHub
-	kinds   map[string]hub.Kind
-	deflt   string
-	mux     *http.ServeMux
+	hub   *hub.Hub
+	kinds map[string]hub.Kind
+	deflt string
+	mux   *http.ServeMux
 	// reg is the /metrics registry, nil until EnableMetrics; handlers
 	// read it through the atomic-friendly accessor under s.mu.
 	reg *metrics.Registry
@@ -107,27 +80,14 @@ type streamMeta struct {
 // New builds the handler over an attached hub and the kinds it serves.
 // The first kind is the default for requests that name none.
 func New(h *hub.Hub, kinds []hub.Kind) (*Server, error) {
-	return newServer(h, nil, kinds)
-}
-
-// NewSharded is New over a sharded hub: identical routes and transcripts,
-// plus the shard-aware extras — GET /v1/stats carries per-shard totals
-// (queue backlog, drops) and StreamInfo reports each stream's owning
-// shard.
-func NewSharded(h *hub.ShardedHub, kinds []hub.Kind) (*Server, error) {
-	return newServer(h, h, kinds)
-}
-
-func newServer(h streamHub, sharded *hub.ShardedHub, kinds []hub.Kind) (*Server, error) {
 	if len(kinds) == 0 {
 		return nil, errors.New("serve: no stream kinds")
 	}
 	s := &Server{
-		hub:     h,
-		sharded: sharded,
-		kinds:   map[string]hub.Kind{},
-		deflt:   kinds[0].Name,
-		meta:    map[string]streamMeta{},
+		hub:   h,
+		kinds: map[string]hub.Kind{},
+		deflt: kinds[0].Name,
+		meta:  map[string]streamMeta{},
 	}
 	for _, k := range kinds {
 		if _, dup := s.kinds[k.Name]; dup {
@@ -141,13 +101,6 @@ func newServer(h streamHub, sharded *hub.ShardedHub, kinds []hub.Kind) (*Server,
 	mux.HandleFunc("/v1/", s.handleV1)
 	// Prometheus text exposition; 404s until EnableMetrics is called.
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	// Legacy aliases, frozen: text bodies in, plain-text errors out,
-	// lazy attachment on first push.
-	mux.HandleFunc("/push", s.handleLegacyPush)
-	mux.HandleFunc("/stats", s.handleLegacyStats)
-	mux.HandleFunc("/streams", s.handleLegacyStreams)
-	mux.HandleFunc("/detections", s.handleLegacyDetections)
-	mux.HandleFunc("/detach", s.handleLegacyDetach)
 	s.mux = mux
 	return s, nil
 }
@@ -227,8 +180,8 @@ func (s *Server) handleV1(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp := client.StatsResponse{Totals: s.hub.Stats()}
-		if s.sharded != nil {
-			resp.Shards = s.sharded.ShardTotals()
+		if s.hub.Shards() > 1 {
+			resp.Shards = s.hub.ShardTotals()
 		}
 		writeJSON(w, http.StatusOK, resp)
 	case rest == "detections":
@@ -347,11 +300,7 @@ func (s *Server) v1CreateStream(w http.ResponseWriter, r *http.Request) {
 // infoLocked renders one stream's StreamInfo; s.mu must be held.
 func (s *Server) infoLocked(id string, stats hub.StreamStats) client.StreamInfo {
 	m := s.meta[id]
-	shard := 0
-	if s.sharded != nil {
-		shard = s.sharded.ShardFor(id)
-	}
-	return client.StreamInfo{ID: id, Kind: m.kind, Spec: m.spec, Engine: m.engine, Shard: shard, Stats: stats}
+	return client.StreamInfo{ID: id, Kind: m.kind, Spec: m.spec, Engine: m.engine, Shard: s.hub.ShardFor(id), Stats: stats}
 }
 
 func (s *Server) v1ListStreams(w http.ResponseWriter) {
@@ -687,119 +636,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Printf("serve: encode: %v", err)
 	}
-}
-
-// ---- legacy aliases (frozen pre-/v1 behaviour) ----
-
-// ensure lazily attaches id with the pipeline named by kind — the legacy
-// contract; /v1 clients register explicitly instead.
-func (s *Server) ensure(id, kind string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.meta[id]; ok {
-		return nil
-	}
-	if kind == "" {
-		kind = s.deflt
-	}
-	k, ok := s.kinds[kind]
-	if !ok {
-		return fmt.Errorf("unknown kind %q (want one of %s)", kind, strings.Join(s.KindNames(), ","))
-	}
-	if err := s.hub.Attach(id, k.Config); err != nil {
-		return err
-	}
-	s.meta[id] = streamMeta{kind: k.Name, spec: k.Spec.String(), engine: k.Config.Engine.String()}
-	return nil
-}
-
-func (s *Server) handleLegacyPush(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	id := r.URL.Query().Get("stream")
-	if id == "" {
-		http.Error(w, "missing ?stream=", http.StatusBadRequest)
-		return
-	}
-	// Parse the whole body before touching the hub: a rejected request
-	// must have no side effect (no lazily attached ghost stream). The
-	// body is size-capped so one request cannot balloon process memory.
-	var batch []float64
-	body := http.MaxBytesReader(w, r.Body, maxBody)
-	sc := bufio.NewScanner(body)
-	sc.Split(bufio.ScanWords)
-	for sc.Scan() {
-		v, err := strconv.ParseFloat(sc.Text(), 64)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad point %q: %v", sc.Text(), err), http.StatusBadRequest)
-			return
-		}
-		batch = append(batch, v)
-	}
-	if err := sc.Err(); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("body over %d bytes; split the batch", tooBig.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := s.ensure(id, r.URL.Query().Get("kind")); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	err := s.hub.Push(id, batch)
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, map[string]any{"stream": id, "queued": len(batch)})
-	case errors.Is(err, hub.ErrDropped):
-		// Backpressure surfaced to the HTTP client as 429.
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-	default:
-		http.Error(w, err.Error(), http.StatusBadRequest)
-	}
-}
-
-func (s *Server) handleLegacyStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.hub.Stats())
-}
-
-// handleLegacyStreams reads the live snapshot without waiting for queues
-// to drain — under sustained ingest a Flush here would park the handler
-// until producers pause, making monitoring unavailable exactly when it
-// matters.
-func (s *Server) handleLegacyStreams(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.hub.Snapshot())
-}
-
-func (s *Server) handleLegacyDetections(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("stream")
-	dets, err := s.hub.Detections(id)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"stream": id, "detections": dets})
-}
-
-func (s *Server) handleLegacyDetach(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	id := r.URL.Query().Get("stream")
-	rep, err := s.hub.Detach(id)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	s.mu.Lock()
-	delete(s.meta, id)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, rep)
 }

@@ -19,8 +19,8 @@ import (
 func TestV1ShardedEndToEnd(t *testing.T) {
 	kinds := servetest.DemoKinds(t)
 	const shards = 4
-	srv := servetest.NewSharded(t, hub.ShardedConfig{Shards: shards, Config: hub.Config{Workers: 4}}, kinds)
-	h, c := srv.Sharded, srv.Client
+	srv := servetest.New(t, hub.Config{Shards: shards, Workers: 4}, kinds)
+	h, c := srv.Hub, srv.Client
 	ctx := context.Background()
 
 	const nStreams, minLen = 8, 2400

@@ -62,7 +62,7 @@ func TestSnapshotEndpointRoundTrip(t *testing.T) {
 	pushRange(t, c, "twin-a", ds.Data, 0, len(ds.Data), false)
 	half := len(ds.Data) / 2
 	pushRange(t, c, "twin-b", ds.Data, 0, half, false)
-	ts.Flush()
+	ts.Hub.Flush()
 
 	snapB, err := c.SnapshotStream(ctx, "twin-b")
 	if err != nil {
@@ -97,7 +97,7 @@ func TestSnapshotEndpointRoundTrip(t *testing.T) {
 	// A positioned push beyond the watermark is a refused gap.
 	_, err = c.PushAt(ctx, "twin-b", len(ds.Data)+50, []float64{1})
 	servetest.APIErrOf(t, err, http.StatusConflict, client.CodeGap)
-	ts.Flush()
+	ts.Hub.Flush()
 
 	ra, err := c.DeleteStream(ctx, "twin-a")
 	if err != nil {
@@ -134,7 +134,7 @@ func TestSnapshotEndpointRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	pushRange(t, c, "s", ds.Data, 0, 1_000, false)
-	ts.Flush()
+	ts.Hub.Flush()
 	good, err := c.SnapshotStream(ctx, "s")
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestCheckpointBootRestore(t *testing.T) {
 		pushRange(t, ts1.Client, ds.ID, ds.Data, 0, n, false)
 		marks[ds.ID] = n
 	}
-	ts1.Flush()
+	ts1.Hub.Flush()
 	cp, err := serve.NewCheckpointer(ts1.Srv, dir, time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestCheckpointBootRestore(t *testing.T) {
 		}
 		pushRange(t, ts2.Client, ds.ID, ds.Data, from, len(ds.Data), true)
 	}
-	ts2.Flush()
+	ts2.Hub.Flush()
 	for _, ds := range streams {
 		info, err := ts2.Client.Stream(ctx, ds.ID)
 		if err != nil {
@@ -363,7 +363,7 @@ func TestShutdownRebootResume(t *testing.T) {
 		pushRange(t, ts1.Client, ds.ID, ds.Data, 0, len(ds.Data), false)
 	}
 	// The etsc-serve shutdown order: drain, then the final generation.
-	ts1.Flush()
+	ts1.Hub.Flush()
 	cp, err := serve.NewCheckpointer(ts1.Srv, dir, time.Hour)
 	if err != nil {
 		t.Fatal(err)

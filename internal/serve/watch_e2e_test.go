@@ -171,7 +171,7 @@ func runWatchEquivalence(t *testing.T, srv *servetest.TestServer, kinds []hub.Ki
 			}
 		}
 	}
-	srv.Flush()
+	srv.Hub.Flush()
 
 	transcripts := make(map[string][]stream.Detection, len(gens))
 	for i, g := range gens {
@@ -235,7 +235,7 @@ func TestWatchCursorEquivalence(t *testing.T) {
 			srv.CloseHub(t)
 		})
 		t.Run(fmt.Sprintf("sharded-w%d", workers), func(t *testing.T) {
-			srv := servetest.NewSharded(t, hub.ShardedConfig{Shards: 3, Config: hub.Config{Workers: workers}}, kinds)
+			srv := servetest.New(t, hub.Config{Shards: 3, Workers: workers}, kinds)
 			runWatchEquivalence(t, srv, kinds, 67, 4)
 			srv.CloseHub(t)
 		})
@@ -294,7 +294,7 @@ func TestConcurrentCursorAndWatchIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv.Flush()
+	srv.Hub.Flush()
 	close(pollStop)
 	<-pollDone
 
@@ -399,7 +399,7 @@ func TestCursorEdgeCases(t *testing.T) {
 	if _, err := c.Push(ctx, g.ID, g.Data); err != nil {
 		t.Fatal(err)
 	}
-	srv.Flush()
+	srv.Hub.Flush()
 
 	base, err := c.Detections(ctx, g.ID, 0)
 	if err != nil {
@@ -468,7 +468,7 @@ func TestWatchNDJSON(t *testing.T) {
 	if _, err := c.Push(ctx, g.ID, g.Data); err != nil {
 		t.Fatal(err)
 	}
-	srv.Flush()
+	srv.Hub.Flush()
 	rep, err := c.DeleteStream(ctx, g.ID)
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,3 @@
-//go:build !etsc_unroll
-
 package ts
 
 // extendD2Rows advances every row's running squared-distance accumulation
@@ -12,12 +10,11 @@ package ts
 // happen only *across* rows (independent accumulators), never within one
 // (partial sums would reassociate the floating-point additions).
 //
-// This default variant blocks four rows at a time with the accumulators in
-// locals and a shared inner pass over points — four independent dependency
-// chains, full-slice-expression row views to hoist bounds checks, the
-// layout the compiler can keep in registers. The etsc_unroll build tag
-// swaps in a variant that additionally unrolls the point loop
-// (extend_rows_unroll.go); both satisfy the same bit-exact contract.
+// The kernel blocks four rows at a time with the accumulators in locals and
+// a shared inner pass over points — four independent dependency chains,
+// full-slice-expression row views to hoist bounds checks, the layout the
+// compiler can keep in registers. Unrolling the point loop as well won no
+// consistent gain in paired BenchmarkExtendRows runs, so it is not done.
 //
 // Callers must validate segment bounds first: the kernel assumes every
 // refs[i] has at least from+len(points) elements.

@@ -82,8 +82,7 @@ func TestExtendD2RowsNonFinite(t *testing.T) {
 
 // FuzzExtendD2Rows drives random ref counts, batch splits, and sample
 // values (including non-finite injections) through the blocked kernel and
-// checks bit-identity against the scalar per-reference walk. Run with
-// -tags etsc_unroll to pin the unrolled variant to the same contract.
+// checks bit-identity against the scalar per-reference walk.
 func FuzzExtendD2Rows(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(3))
 	f.Add(int64(42), uint8(8), uint8(1))
