@@ -32,10 +32,23 @@ func decodeBatches(data []byte) [][]float64 {
 }
 
 // FuzzHubPush feeds arbitrary float batches (NaN/Inf included) through a
-// two-stream hub under the Drop policy, on one shard and on three, and
-// asserts the hub never panics, every stream's position equals exactly the
-// points it accepted, and Close leaves a clean pending-verification ledger.
+// two-stream one-shard hub under the Drop policy and asserts the hub never
+// panics, every stream's position equals exactly the points it accepted,
+// and Close leaves a clean pending-verification ledger.
 func FuzzHubPush(f *testing.F) {
+	fuzzHubPush(f, 1, 2)
+}
+
+// FuzzShardedHubPush is FuzzHubPush on a three-shard hub: the same
+// arbitrary garbage batches, routed by the stream-ID hash across shards,
+// with the same invariants.
+func FuzzShardedHubPush(f *testing.F) {
+	fuzzHubPush(f, 3, 3)
+}
+
+// fuzzHubPush seeds and runs the shared fuzz target on a hub with the
+// given shard and worker counts.
+func fuzzHubPush(f *testing.F, shards, workers int) {
 	f.Add([]byte{8, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(3), uint8(2))
 	f.Add(append([]byte{16}, make([]byte, 64)...), uint8(1), uint8(1))
 	inf := make([]byte, 17)
@@ -54,13 +67,11 @@ func FuzzHubPush(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, strideB, stepB uint8) {
-		for _, shards := range []int{1, 3} {
-			h, err := New(Config{Shards: shards, Workers: 2, QueueDepth: 4, Policy: Drop})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fuzzHubBody(t, h, clf, verifier, data, strideB, stepB)
+		h, err := New(Config{Shards: shards, Workers: workers, QueueDepth: 4, Policy: Drop})
+		if err != nil {
+			t.Fatal(err)
 		}
+		fuzzHubBody(t, h, clf, verifier, data, strideB, stepB)
 	})
 }
 
